@@ -60,20 +60,20 @@ def measure_overhead(n: int, trials: int) -> dict:
     B = random_matrix(n, n, 1)
     out = np.empty((n, n))
 
-    def run_unguarded():
+    def call_unguarded():
         matmul(A, B, threads=1, cache=cache, out=out, guard=False)
 
-    def run_guarded():
+    def call_guarded():
         matmul(A, B, threads=1, cache=cache, out=out, guard=True)
 
     # warm both paths: plan cache, workspace arena, BLAS
     obs.disable()
-    run_unguarded()
-    run_guarded()
+    call_unguarded()
+    call_guarded()
 
     best = None
     for _ in range(RETRIES):
-        t_off, t_on = interleaved_medians(run_unguarded, run_guarded,
+        t_off, t_on = interleaved_medians(call_unguarded, call_guarded,
                                           trials)
         ratio = t_on / t_off if t_off > 0 else float("inf")
         row = {"seconds_unguarded": t_off, "seconds_guarded": t_on,

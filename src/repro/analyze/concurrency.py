@@ -65,6 +65,10 @@ REGISTRY: tuple[SharedState, ...] = (
                 "plan cache entries"),
     SharedState("tuner/cache.py", "self._failures", "self._lock",
                 "quarantine failure ledger"),
+    SharedState("tuner/cache.py", "self._dirty_entries", "self._lock",
+                "entry keys changed since load/save, merged by save"),
+    SharedState("tuner/cache.py", "self._dirty_failures", "self._lock",
+                "ledger keys changed since load/save, merged by save"),
     SharedState("tuner/cache.py", "_warned_paths", "_warned_lock",
                 "once-per-path load warnings"),
     SharedState("tuner/batched.py", "_arena_pools", "_batch_lock",

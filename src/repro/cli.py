@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgroup", type=int, default=None,
                    help="P' of the hybrid-subgroup scheme (must divide the "
                         "thread count; default: threads // 2)")
-    p.add_argument("--native", action="store_true",
-                   help="use the compiled C chain backend")
     p.add_argument("--backend", default="auto",
                    choices=["auto", "numpy", "compiled"],
                    help="serving backend: 'compiled' forces the native C "
@@ -327,7 +325,7 @@ def cmd_multiply(args, out=sys.stdout) -> int:
                 guard=True if args.guard else None)
             label = (f"auto: {plan.describe()} [{source}]"
                      + (" +guard" if args.guard else ""))
-    elif args.native or args.backend == "compiled":
+    elif args.backend == "compiled":
         from repro.codegen import cbackend
 
         cc = cbackend.compile_chains(args.algorithm)

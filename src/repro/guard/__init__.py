@@ -26,8 +26,6 @@ _CHAIN_EXPORTS = (
     "default_guard",
     "reset_default_guard",
     "resolve_guard",
-    "run_guarded",
-    "run_batch_guarded",
     "shutdown_watchdog",
 )
 

@@ -1,42 +1,45 @@
-"""The guarded execution fallback chain behind ``repro.matmul(guard=)``.
+"""The guard behind ``repro.matmul(guard=)`` and ``matmul_batched(guard=)``.
 
 A serving layer may never surface a tuner, codegen, arena, or worker-pool
 bug as a failed matmul, and an APA plan (Bini / Schonhage entries, whose
 error growth Section 6 of the paper characterizes) may never silently
-return garbage.  This module wraps plan execution in a three-stage
-degradation ladder that always lands on a correct product:
+return garbage.  Guarded calls run the same dispatch pipeline as
+unguarded ones (:func:`repro.tuner.dispatch._serve` -- one select, arena,
+execute, observe sequence for every entry point); this module supplies
+the guard's parts of it:
 
-1. **tuned plan** -- whatever the policy resolved (cache / nearest /
-   transfer / model / online), executed normally, optionally under a
-   watchdog deadline (``GuardConfig.timeout_s``);
-2. **cost-model plan** -- on a *plan-implicating* failure, the best
-   not-quarantined candidate from :func:`repro.tuner.space.enumerate_plans`
-   that differs from the failed plan, in a throwaway arena;
-3. **classical** -- a direct ``np.matmul`` with no plan, no pool, no
-   arena, and no injection points: the stage that cannot fail.
+- :class:`GuardConfig` / :func:`resolve_guard` -- how much protection a
+  call buys;
+- the **watchdog** (:func:`attempt`) -- an optional deadline around each
+  execution attempt;
+- the **numerical guardrail** (:func:`check_product`, run by
+  :func:`verify`) -- a sampled NaN/Inf scan for all plans, plus a sampled
+  residual check against :func:`repro.core.stability.error_bound` for
+  APA plans; a violation is treated exactly like a raised exception;
+- the **failure ladder** (:func:`degrade`) -- after the resolved plan
+  fails, a single call tries the best not-quarantined cost-model plan
+  (from :func:`repro.tuner.space.enumerate_plans`) in a throwaway arena,
+  then classical ``np.matmul`` with no plan, no pool, no arena and no
+  injection points: the stage that cannot fail.  A batch goes straight
+  to classical per element.
 
 Failures that implicate the *infrastructure* rather than the plan (a
 watchdog timeout, a broken pool, a task deadline, ``MemoryError``) skip
-stage 2 -- retrying a different fast plan on a broken substrate wastes
-the deadline budget -- and drop straight to classical, after optionally
-tearing down and rebuilding the shared worker pool.
-
-Every product that leaves a guarded attempt passes the **numerical
-guardrail** (:func:`check_product`): a sampled NaN/Inf scan for all
-plans, plus a sampled residual check against
-:func:`repro.core.stability.error_bound` for APA plans; a violation is
-treated exactly like a raised exception.  Each plan failure is recorded
-in the cache's quarantine ledger (:meth:`PlanCache.record_failure`) so
-repeat offenders stop being resolved at all, and every fallback /
-violation / rebuild is counted through :mod:`repro.obs.telemetry`
-(``guard.*`` counters) for ``repro stats`` / ``repro multiply --explain``.
+the cost-model stage -- retrying a different fast plan on a broken
+substrate wastes the deadline budget -- and drop straight to classical,
+after optionally tearing down and rebuilding the shared worker pool.
+Each plan failure is recorded in the cache's quarantine ledger
+(:meth:`PlanCache.record_failure`) so repeat offenders stop being
+resolved at all, and every fallback / violation / rebuild is counted
+through :mod:`repro.obs.telemetry` (``guard.*`` counters) for ``repro
+stats`` / ``repro multiply --explain``.
 
 The guard is opt-in and free when off: ``guard=None`` (the default)
 defers to the ``REPRO_GUARD`` environment variable, and with no guard
-resolved dispatch runs its usual unguarded path untouched.  With the
-default ``timeout_s=None`` the guarded warm path adds only the
-try/except bracket and the sampled check -- the ``bench_guard.py`` CI
-gate holds it within 3% of unguarded dispatch.
+resolved the pipeline skips every guard stage.  With the default
+``timeout_s=None`` the guarded warm path adds only the try/except
+bracket and the sampled check -- the ``bench_guard.py`` CI gate holds it
+within 3% of unguarded dispatch.
 """
 
 from __future__ import annotations
@@ -275,51 +278,46 @@ def _poison(C: np.ndarray) -> None:
         raise faults.InjectedFault("injected: apa.nan on non-float product")
 
 
-def _attempt(cfg: GuardConfig, plan: Plan, A: np.ndarray, B: np.ndarray,
-             pool, out, workspace) -> np.ndarray:
-    """Execute ``plan`` once under the config's watchdog (if any).
+def attempt(cfg: GuardConfig, call, plan: Plan, arena):
+    """Execute ``plan`` once for ``call`` under the config's watchdog.
 
-    With a deadline, execution targets a private buffer and the result is
-    copied to ``out`` only on in-time success, so a timed-out zombie
-    attempt can never scribble on the caller's array.
+    With a deadline, execution targets a private product that is copied
+    to the caller's ``out`` only on in-time success, so a timed-out
+    zombie attempt can never scribble on the caller's array.
     """
-    from repro.tuner import dispatch
-
     if cfg.timeout_s is None:
-        C = dispatch.execute_plan(plan, A, B, pool=pool, out=out,
-                                  workspace=workspace)
+        C = call.execute(plan, arena)
     else:
-        p, r = A.shape[0], B.shape[1]
-        dest = np.empty((p, r), dtype=np.result_type(A, B))
-        _watchdog_run(
-            lambda: dispatch.execute_plan(plan, A, B, pool=pool, out=dest,
-                                          workspace=workspace),
-            cfg.timeout_s,
-        )
-        if out is not None:
-            np.copyto(out, dest, casting="same_kind")
-            C = out
-        else:
-            C = dest
+        C = call.deliver(_watchdog_run(
+            lambda: call.execute(plan, arena, private=True), cfg.timeout_s))
     if faults.active and faults.should_fire("apa.nan"):
-        _poison(C)
+        _poison(call.samples(C)[0][2])
     return C
 
 
-def _classical(A: np.ndarray, B: np.ndarray, out) -> np.ndarray:
-    """Stage 3: plain ``np.matmul`` -- no plan, no pool, no arena, no
-    injection points.  The floor the chain always reaches."""
-    if out is None:
-        return np.matmul(A, B)
-    np.matmul(A, B, out=out)
-    return out
+def verify(cfg: GuardConfig, call, plan: Plan, C) -> None:
+    """The numeric guardrail over the products ``call`` samples; raises
+    :class:`NumericViolation` on the first bad one."""
+    if not cfg.numeric_check:
+        return
+    for a, b, c in call.samples(C):
+        reason = check_product(plan, a, b, c, cfg)
+        if reason is not None:
+            telemetry.incr("guard.numeric_violations")
+            raise NumericViolation(reason)
 
 
-def _note_failure(stage: str, plan: Plan, exc: BaseException) -> None:
+def _charge(cfg: GuardConfig, call, cache, stage: str, plan: Plan,
+            exc: BaseException) -> None:
+    """Book one failed attempt: warn and count it, charge the plan's
+    quarantine ledger, and repair the substrate it implicates."""
     telemetry.incr("guard.failures", stage=stage,
                    reason=type(exc).__name__)
     _log.warning("guarded %s-stage execution of [%s] failed: %s",
                  stage, plan.describe(), exc)
+    cache.record_failure(call.p, call.q, call.r, call.dtype, call.threads,
+                         plan, exc, batch=call.batch)
+    _recover_infrastructure(cfg, plan, exc)
 
 
 def _recover_infrastructure(cfg: GuardConfig, plan: Plan,
@@ -341,185 +339,44 @@ def _fallback_plan(failed: Plan, p: int, q: int, r: int, dtype: str,
     """The cost-model stage's candidate: best-ranked plan that is neither
     the plan that just failed nor quarantined for this shape."""
     for cand in enumerate_plans(p, q, r, threads=threads, dtype=dtype):
-        if cand == failed:
-            continue
-        if cache is not None and cache.plan_quarantined(
+        if cand != failed and not cache.plan_quarantined(
                 p, q, r, dtype, threads, cand):
-            continue
-        return cand
+            return cand
     return None
 
 
 # ---------------------------------------------------------------------------
-# the chain
+# the failure ladder
 # ---------------------------------------------------------------------------
-def run_guarded(cfg: GuardConfig, policy, A: np.ndarray, B: np.ndarray,
-                p: int, q: int, r: int, dtype: str, threads: int,
-                cache, pool, out) -> np.ndarray:
-    """Guarded dispatch: tuned plan -> cost-model plan -> classical.
+def degrade(cfg: GuardConfig, call, cache, plan: Plan, exc: BaseException,
+            timed: bool):
+    """Recover from a failed guarded attempt; ``(C, plan, source, arena)``.
 
-    The resolved-plan stage mirrors unguarded dispatch exactly (policy
-    selection, timed-vs-warm workspaces, observation, telemetry) so a
-    healthy call behaves identically; the ladder only engages on failure.
+    Called by the dispatch pipeline when the resolved plan raised or
+    failed the numeric check.  The failure is charged to the plan's
+    quarantine ledger and its warm arena is evicted; then a single call
+    tries the best other cost-model plan in a throwaway arena (skipped
+    for infrastructure failures), and every call can land on classical
+    ``np.matmul`` -- per element for a batch, where re-resolving a second
+    fast batch plan is not worth the latency.  The returned plan and
+    arena describe what actually produced ``C``, with source ``"guard"``.
     """
-    from repro.tuner import dispatch
-
-    plan, source = policy.select(p, q, r, dtype, threads, cache)
-    timed = policy.wants_timing(source)
-    dtype_a, dtype_b = A.dtype, B.dtype
-    if timed:
-        workspace = dispatch.build_workspace(plan, p, q, r, dtype_a, dtype_b)
-    else:
-        workspace = dispatch.workspace_for(plan, p, q, r, dtype_a, dtype_b)
-    try:
-        start = policy.clock()
-        C = _attempt(cfg, plan, A, B, pool, out, workspace)
-        seconds = policy.clock() - start
-        if cfg.numeric_check:
-            reason = check_product(plan, A, B, C, cfg)
-            if reason is not None:
-                telemetry.incr("guard.numeric_violations")
-                raise NumericViolation(reason)
-    except Exception as exc:
-        _note_failure("plan", plan, exc)
-        if cache is not None:
-            cache.record_failure(p, q, r, dtype, threads, plan, exc)
-        _recover_infrastructure(cfg, plan, exc)
-        if not timed:
-            dispatch.evict_workspace(plan, p, q, r, dtype_a, dtype_b)
-        infra = isinstance(exc, INFRASTRUCTURE_FAILURES)
-    else:
-        if timed:
-            policy.observe(p, q, r, dtype, threads, cache, plan, seconds)
-        if cache is not None:
-            cache.record_success(p, q, r, dtype, threads, plan)
-        if telemetry.enabled():
-            dispatch._record_call(plan, source, p, q, r, dtype, threads,
-                                  seconds, timed, workspace)
-        return C
-
-    # stage 2: cost-model fallback (skipped for infrastructure failures)
-    if not infra:
-        fallback = _fallback_plan(plan, p, q, r, dtype, threads, cache)
+    _charge(cfg, call, cache, "plan" if call.batch is None else "batch",
+            plan, exc)
+    if not timed:
+        call.evict(plan)
+    if call.batch is None and not isinstance(exc, INFRASTRUCTURE_FAILURES):
+        fallback = _fallback_plan(plan, call.p, call.q, call.r, call.dtype,
+                                  call.threads, cache)
         if fallback is not None:
             telemetry.incr("guard.fallbacks", stage="model")
-            ws = dispatch.build_workspace(fallback, p, q, r,
-                                          dtype_a, dtype_b)
+            arena = call.arena(fallback, True)
             try:
-                C = _attempt(cfg, fallback, A, B, pool, out, ws)
-                if cfg.numeric_check:
-                    reason = check_product(fallback, A, B, C, cfg)
-                    if reason is not None:
-                        telemetry.incr("guard.numeric_violations")
-                        raise NumericViolation(reason)
-            except Exception as exc:
-                _note_failure("model", fallback, exc)
-                if cache is not None:
-                    cache.record_failure(p, q, r, dtype, threads,
-                                         fallback, exc)
-                _recover_infrastructure(cfg, fallback, exc)
+                C = attempt(cfg, call, fallback, arena)
+                verify(cfg, call, fallback, C)
+            except Exception as exc2:
+                _charge(cfg, call, cache, "model", fallback, exc2)
             else:
-                if telemetry.enabled():
-                    dispatch._record_call(fallback, "guard", p, q, r,
-                                          dtype, threads, 0.0, False, ws)
-                return C
-
-    # stage 3: classical -- cannot fail
+                return C, fallback, "guard", arena
     telemetry.incr("guard.fallbacks", stage="classical")
-    C = _classical(A, B, out)
-    if telemetry.enabled():
-        dispatch._record_call(Plan(threads=threads), "guard", p, q, r,
-                              dtype, threads, 0.0, False, None)
-    return C
-
-
-def run_batch_guarded(cfg: GuardConfig, bplan, A, B, out, pool, cache,
-                      p: int, q: int, r: int, dtype: str, threads: int,
-                      batch: int):
-    """Guarded batched execution: batch plan -> classical per-element.
-
-    The batch analogue collapses the ladder to two stages -- a failing
-    batch plan degrades straight to classical ``np.matmul`` per element
-    (re-resolving a second fast batch plan is not worth the latency on a
-    serving batch).  The numeric guardrail samples the first and last
-    elements of the batch.
-    """
-    from repro.tuner import batched
-
-    def execute():
-        if cfg.timeout_s is None:
-            return batched.execute_batch_plan(bplan, A, B, out=out,
-                                              pool=pool)
-        result = _watchdog_run(
-            lambda: batched.execute_batch_plan(bplan, A, B, pool=pool),
-            cfg.timeout_s,
-        )
-        return _copy_batch_result(result, A, B, out)
-
-    try:
-        result = execute()
-        elements = _batch_elements(result)
-        if faults.active and elements and faults.should_fire("apa.nan"):
-            _poison(elements[0])
-        if cfg.numeric_check and elements:
-            a_list, b_list, _, _, _, _ = batched._normalize_operands(A, B)
-            for idx in {0, len(elements) - 1}:
-                reason = check_product(bplan.plan, a_list[idx], b_list[idx],
-                                       elements[idx], cfg)
-                if reason is not None:
-                    telemetry.incr("guard.numeric_violations")
-                    raise NumericViolation(reason)
-    except Exception as exc:
-        _note_failure("batch", bplan.plan, exc)
-        if cache is not None:
-            cache.record_failure(p, q, r, dtype, threads, bplan.plan, exc,
-                                 batch=batch)
-        _recover_infrastructure(cfg, bplan.plan, exc)
-    else:
-        if cache is not None:
-            cache.record_success(p, q, r, dtype, threads, bplan.plan,
-                                 batch=batch)
-        return result
-
-    telemetry.incr("guard.fallbacks", stage="classical")
-    return _classical_batch(A, B, out)
-
-
-def _batch_elements(result) -> list:
-    if isinstance(result, np.ndarray):
-        return list(result)
-    return list(result)
-
-
-def _copy_batch_result(result, A, B, out):
-    """Copy a watchdog-private batch result into the caller's ``out``."""
-    from repro.tuner import batched
-
-    if out is None:
-        return result
-    a_list, b_list, p, q, r, stacked = batched._normalize_operands(A, B)
-    c_list = batched._check_batch_out(out, a_list, b_list, p, r, stacked)
-    for c, src in zip(c_list, _batch_elements(result)):
-        np.copyto(c, src, casting="same_kind")
-    return out
-
-
-def _classical_batch(A, B, out):
-    """Per-element ``np.matmul`` honoring the batched operand forms."""
-    from repro.tuner import batched
-
-    a_list, b_list, p, q, r, stacked = batched._normalize_operands(A, B)
-    batch = len(a_list)
-    dtype = np.result_type(a_list[0], b_list[0]) if batch else np.dtype("f8")
-    if out is not None:
-        c_list = batched._check_batch_out(out, a_list, b_list, p, r, stacked)
-        result = out
-    elif stacked:
-        result = np.empty((batch, p, r), dtype=dtype)
-        c_list = list(result)
-    else:
-        c_list = [np.empty((p, r), dtype=dtype) for _ in range(batch)]
-        result = c_list
-    for a, b, c in zip(a_list, b_list, c_list):
-        np.matmul(a, b, out=c)
-    return result
+    return call.classical(), Plan(threads=call.threads), "guard", None

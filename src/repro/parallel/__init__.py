@@ -7,7 +7,7 @@ BFS and HYBRID fast-multiply schemes.
 """
 
 from repro.parallel.blas import blas_threads, get_threads, is_controllable, set_threads
-from repro.parallel.gemm import dgemm, tiled_gemm
+from repro.parallel.gemm import dgemm
 from repro.parallel.pool import WorkerPool, available_cores, resolve_threads
 from repro.parallel.schedules import SCHEMES, default_subgroup, multiply_parallel
 
@@ -18,7 +18,6 @@ __all__ = [
     "is_controllable",
     "set_threads",
     "dgemm",
-    "tiled_gemm",
     "WorkerPool",
     "available_cores",
     "resolve_threads",

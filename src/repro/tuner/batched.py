@@ -30,15 +30,13 @@ and remembered in the plan cache under a ``batch``-suffixed key
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.algorithms import get_algorithm
-from repro.core.workspace import WorkspacePool, codegen_footprint
+from repro.core.workspace import WorkspacePool
 from repro.guard import chain
 from repro.obs import telemetry
 from repro.parallel import blas
@@ -159,24 +157,13 @@ def _check_batch_out(out, a_list, b_list, p: int, r: int, stacked: bool):
 # ---------------------------------------------------------------------------
 # per-worker arena pools (the batched footprint)
 # ---------------------------------------------------------------------------
-def _element_nbytes(plan: Plan, p: int, q: int, r: int,
-                    dtype_a, dtype_b) -> int:
-    """Arena bytes one elementwise worker needs for one element (0 for
-    plain BLAS, which needs no workspace)."""
-    if plan.is_dgemm:
-        return 0
-    alg = get_algorithm(plan.algorithm)
-    return codegen_footprint(alg, plan.strategy, False, (p, q, r),
-                             dtype_a, plan.steps, dtype_b=dtype_b)
-
-
 def _arena_pool(plan: Plan, p: int, q: int, r: int, dtype_a, dtype_b,
                 workers: int) -> WorkspacePool | None:
     """The cached per-worker arena pool for an elementwise batch plan --
     built on first use (counted by ``workspace.batch_arena_builds``),
     LRU-kept up to :data:`BATCH_POOL_CACHE_SIZE`.  ``None`` when the
     element plan needs no workspace (plain BLAS)."""
-    nbytes = _element_nbytes(plan, p, q, r, dtype_a, dtype_b)
+    nbytes = dispatch.workspace_nbytes(plan, p, q, r, dtype_a, dtype_b)
     if nbytes == 0:
         return None
     key = (plan, p, q, r, str(np.dtype(dtype_a)), str(np.dtype(dtype_b)),
@@ -271,6 +258,72 @@ def get_batch_plan(
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
+def _batch_result(a_list, b_list, p: int, r: int, stacked: bool, out=None):
+    """The batch destination ``(result, per-element views)``: the
+    validated ``out`` when given, else a fresh stack (or list) in the
+    operands' result dtype."""
+    if out is not None:
+        return out, _check_batch_out(out, a_list, b_list, p, r, stacked)
+    dtype = np.result_type(a_list[0], b_list[0]) if a_list else np.dtype("f8")
+    if stacked:
+        result = np.empty((len(a_list), p, r), dtype=dtype)
+        return result, list(result)
+    c_list = [np.empty((p, r), dtype=dtype) for _ in a_list]
+    return c_list, c_list
+
+
+def _batch_arena(bplan: BatchPlan, p: int, q: int, r: int, dtype_a, dtype_b,
+                 warm: bool):
+    """The batch's arena: one workspace for ``within`` batches, one
+    per-worker :class:`WorkspacePool` for ``elementwise`` ones -- drawn
+    from the serving caches when ``warm``, else throwaway."""
+    plan = bplan.plan
+    if bplan.mode == "elementwise":
+        if warm:
+            return _arena_pool(plan, p, q, r, dtype_a, dtype_b, bplan.workers)
+        nbytes = dispatch.workspace_nbytes(plan, p, q, r, dtype_a, dtype_b)
+        return WorkspacePool(nbytes, bplan.workers) if nbytes else None
+    make = dispatch.workspace_for if warm else dispatch.build_workspace
+    return make(plan, p, q, r, dtype_a, dtype_b)
+
+
+def _run_batch(bplan: BatchPlan, a_list, b_list, c_list, arena,
+               pool: WorkerPool | None) -> None:
+    """Run every element into ``c_list``.
+
+    ``within``: elements serially, each under the plan's own schedule,
+    sharing one arena (the executors reset it at call start) and one
+    pool.  ``elementwise``: elements fanned across the pool, each
+    sequential under a private per-worker arena, BLAS pinned to one
+    thread for the whole fan-out (the inner per-element BLAS contexts
+    are then nested no-ops).
+    """
+    plan = bplan.plan
+    if bplan.mode == "within":
+        if pool is None and not plan.is_dgemm and plan.scheme != "sequential":
+            pool = dispatch._shared_pool(plan.threads)
+        for a, b, c in zip(a_list, b_list, c_list):
+            dispatch.execute_plan(plan, a, b, pool=pool, out=c,
+                                  workspace=arena)
+        return
+    if pool is None:
+        pool = dispatch._shared_pool(bplan.workers)
+
+    def element(i: int):
+        if arena is None:
+            return dispatch.execute_plan(plan, a_list[i], b_list[i],
+                                         out=c_list[i])
+        with arena.arena() as ws:
+            return dispatch.execute_plan(plan, a_list[i], b_list[i],
+                                         out=c_list[i], workspace=ws)
+
+    with blas.blas_threads(1):
+        group = pool.group()
+        for i in range(len(a_list)):
+            group.run(element, i)
+        group.wait()
+
+
 def execute_batch_plan(
     bplan: BatchPlan,
     A,
@@ -288,74 +341,102 @@ def execute_batch_plan(
     (:func:`repro.tuner.measure.tune_batch`) never evict the serving set.
     """
     a_list, b_list, p, q, r, stacked = _normalize_operands(A, B)
-    batch = len(a_list)
-    dtype = np.result_type(a_list[0], b_list[0]) if batch else np.dtype("f8")
-    if out is not None:
-        c_list = _check_batch_out(out, a_list, b_list, p, r, stacked)
-        result = out
-    elif stacked:
-        result = np.empty((batch, p, r), dtype=dtype)
-        c_list = list(result)
-    else:
-        c_list = [np.empty((p, r), dtype=dtype) for _ in range(batch)]
-        result = c_list
-    if batch == 0:
-        return result
-    plan = bplan.plan
-    if bplan.mode == "elementwise":
-        _run_elementwise(bplan, a_list, b_list, c_list, p, q, r,
-                         pool=pool, warm=warm)
-    else:
-        _run_within(plan, a_list, b_list, c_list, p, q, r,
-                    pool=pool, warm=warm)
+    result, c_list = _batch_result(a_list, b_list, p, r, stacked, out)
+    if a_list:
+        arena = _batch_arena(bplan, p, q, r, a_list[0].dtype,
+                             b_list[0].dtype, warm)
+        _run_batch(bplan, a_list, b_list, c_list, arena, pool)
     return result
 
 
-def _run_within(plan: Plan, a_list, b_list, c_list, p, q, r,
-                pool: WorkerPool | None, warm: bool) -> None:
-    """Elements serially, each under the plan's own schedule: one arena
-    (the executors reset it at call start) and one pool for the batch."""
-    dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
-    if warm:
-        workspace = dispatch.workspace_for(plan, p, q, r, dtype_a, dtype_b)
-    else:
-        workspace = dispatch.build_workspace(plan, p, q, r, dtype_a, dtype_b)
-    if pool is None and not plan.is_dgemm and plan.scheme != "sequential":
-        pool = dispatch._shared_pool(plan.threads)
-    for a, b, c in zip(a_list, b_list, c_list):
-        dispatch.execute_plan(plan, a, b, pool=pool, out=c,
-                              workspace=workspace)
+class _BatchCall:
+    """One ``matmul_batched`` call as the dispatch pipeline
+    (:func:`repro.tuner.dispatch._serve`) sees it: batch-plan resolution,
+    the batch arena, the batch executor, and a numeric check sampling
+    the first and last elements.  Batched calls are never timed (the
+    batch axis tunes through :func:`repro.tuner.measure.tune_batch`)."""
 
+    def __init__(self, a_list, b_list, stacked, out, pool, p, q, r, dtype,
+                 threads, tune, batch_mode):
+        self.a_list, self.b_list, self.stacked = a_list, b_list, stacked
+        self.out, self.pool = out, pool
+        self.p, self.q, self.r = p, q, r
+        self.dtype, self.threads = dtype, threads
+        self.tune, self.batch_mode = tune, batch_mode
+        self.batch = len(a_list)
+        self.c_list = (None if out is None else
+                       _check_batch_out(out, a_list, b_list, p, r, stacked))
+        self.bplan: BatchPlan | None = None
 
-def _run_elementwise(bplan: BatchPlan, a_list, b_list, c_list, p, q, r,
-                     pool: WorkerPool | None, warm: bool) -> None:
-    """Elements fanned across the pool, each sequential under a private
-    per-worker arena, BLAS pinned to one thread for the whole fan-out
-    (the inner per-element BLAS contexts are then nested no-ops)."""
-    plan = bplan.plan
-    workers = bplan.workers
-    dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
-    if warm:
-        apool = _arena_pool(plan, p, q, r, dtype_a, dtype_b, workers)
-    else:
-        nbytes = _element_nbytes(plan, p, q, r, dtype_a, dtype_b)
-        apool = WorkspacePool(nbytes, workers) if nbytes else None
-    if pool is None:
-        pool = dispatch._shared_pool(workers)
+    def select(self, cache: PlanCache) -> tuple[Plan, str, bool]:
+        p, q, r = self.p, self.q, self.r
+        bplan, source = get_batch_plan(p, q, r, self.batch, dtype=self.dtype,
+                                       threads=self.threads, cache=cache,
+                                       batch_mode=self.batch_mode)
+        if self.batch_mode is None and (
+            self.tune == "always" or (self.tune == "auto"
+                                      and source == "model")
+        ):
+            from repro.tuner.measure import tune_batch
 
-    def element(i: int):
-        if apool is None:
-            return dispatch.execute_plan(plan, a_list[i], b_list[i],
-                                         out=c_list[i])
-        with apool.arena() as ws:
-            return dispatch.execute_plan(plan, a_list[i], b_list[i],
-                                         out=c_list[i], workspace=ws)
+            bplan = tune_batch(p, q, r, self.batch, dtype=self.dtype,
+                               threads=self.threads, cache=cache)
+            source = "tuned"
+        self.bplan = bplan
+        return bplan.plan, source, False
 
-    with blas.blas_threads(1):
-        group = pool.group()
-        for i in range(len(a_list)):
-            group.run(element, i)
-        group.wait()
+    def arena(self, plan: Plan, timed: bool):
+        return _batch_arena(self.bplan, self.p, self.q, self.r,
+                            self.a_list[0].dtype, self.b_list[0].dtype,
+                            warm=not timed)
+
+    def evict(self, plan: Plan) -> None:
+        # per-worker pools hand arenas out by checkout, so a zombie
+        # element keeps its own; only the shared within arena can leak
+        if self.bplan.mode == "within":
+            dispatch.evict_workspace(plan, self.p, self.q, self.r,
+                                     self.a_list[0].dtype,
+                                     self.b_list[0].dtype)
+
+    def _dest(self, private: bool = False):
+        if self.out is not None and not private:
+            return self.out, self.c_list
+        return _batch_result(self.a_list, self.b_list, self.p, self.r,
+                             self.stacked)
+
+    def execute(self, plan: Plan, arena, private: bool = False):
+        result, c_list = self._dest(private)
+        with telemetry.span("dispatch.batch", mode=self.bplan.mode):
+            _run_batch(self.bplan, self.a_list, self.b_list, c_list, arena,
+                       self.pool)
+        return result
+
+    def deliver(self, result):
+        if self.out is None:
+            return result
+        for c, src in zip(self.c_list, result):
+            np.copyto(c, src, casting="same_kind")
+        return self.out
+
+    def samples(self, result) -> tuple:
+        return tuple((self.a_list[i], self.b_list[i], result[i])
+                     for i in sorted({0, self.batch - 1}))
+
+    def classical(self):
+        self.bplan = BatchPlan(plan=Plan(threads=self.threads),
+                               workers=self.threads)
+        result, c_list = self._dest()
+        for a, b, c in zip(self.a_list, self.b_list, c_list):
+            np.matmul(a, b, out=c)
+        return result
+
+    def annotate(self, record: dict) -> None:
+        record["plan"] = self.bplan.describe()
+        record["batch"] = self.batch
+        record["batch_mode"] = self.bplan.mode
+        telemetry.incr("dispatch.batch_calls")
+        telemetry.incr("dispatch.batch_elements", self.batch)
+        telemetry.set_gauge("dispatch.batch_size", self.batch)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +476,9 @@ def matmul_batched(
     spellings as :func:`repro.tuner.dispatch.matmul`): a failing batch
     plan degrades to classical per-element ``np.matmul``, the failure is
     charged to the plan's quarantine ledger, and the product is always
-    returned.
+    returned.  The call runs the same dispatch pipeline as ``matmul``, so
+    it emits the same spans, counters and per-call record (plus ``batch``
+    and ``batch_mode``).
     """
     if tune not in ("never", "auto", "always"):
         raise ValueError(
@@ -404,54 +487,15 @@ def matmul_batched(
             f"got {tune!r}"
         )
     a_list, b_list, p, q, r, stacked = _normalize_operands(A, B)
-    batch = len(a_list)
-    if batch == 0:  # an empty stacked batch: nothing to resolve or run
+    if not a_list:  # an empty stacked batch: nothing to resolve or run
         dtype = np.result_type(np.asarray(A).dtype, np.asarray(B).dtype)
         if out is not None:
             _check_batch_out(out, a_list, b_list, p, r, stacked)
             return out
         return np.empty((0, p, r), dtype=dtype)
-    threads = resolve_threads(threads)
-    dtype = np.result_type(a_list[0], b_list[0]).name
-    cache = cache if cache is not None else dispatch._shared_cache()
-    bplan, source = get_batch_plan(p, q, r, batch, dtype=dtype,
-                                   threads=threads, cache=cache,
-                                   batch_mode=batch_mode)
-    if batch_mode is None and (
-        tune == "always" or (tune == "auto" and source == "model")
-    ):
-        from repro.tuner.measure import tune_batch
-
-        bplan = tune_batch(p, q, r, batch, dtype=dtype, threads=threads,
-                           cache=cache)
-        source = "tuned"
-    operands = (a_list, b_list) if not stacked else (A, B)
-    if telemetry.enabled():
-        telemetry.incr("dispatch.batch_calls")
-        telemetry.incr("dispatch.batch_elements", batch)
-        telemetry.set_gauge("dispatch.batch_size", batch)
-        telemetry.incr("dispatch.source", source=source)
-        span = telemetry.span("dispatch.batch", mode=bplan.mode)
-    else:
-        span = contextlib.nullcontext()
-    cfg = chain.resolve_guard(guard)
-    with span:
-        if cfg is not None:
-            result = chain.run_batch_guarded(
-                cfg, bplan, operands[0], operands[1], out, pool, cache,
-                p, q, r, dtype, threads, batch)
-        else:
-            result = execute_batch_plan(bplan, operands[0], operands[1],
-                                        out=out, pool=pool)
-    if telemetry.enabled():
-        telemetry.record_dispatch({
-            "shape": [p, q, r],
-            "dtype": dtype,
-            "threads": threads,
-            "source": source,
-            "plan": bplan.describe(),
-            "scheme": bplan.plan.scheme,
-            "batch": batch,
-            "batch_mode": bplan.mode,
-        })
-    return result
+    dtype = dispatch._dtype_name(np.result_type(a_list[0], b_list[0]))
+    call = _BatchCall(a_list, b_list, stacked, out, pool, p, q, r, dtype,
+                      resolve_threads(threads), tune, batch_mode)
+    return dispatch._serve(
+        call, cache if cache is not None else dispatch._shared_cache(),
+        chain.resolve_guard(guard))

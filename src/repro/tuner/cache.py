@@ -3,8 +3,9 @@
 One JSON file maps problem keys ``(m, k, n, dtype, threads)`` to the best
 measured :class:`~repro.tuner.space.Plan` and its observed performance.
 The schema is versioned: a file written by an incompatible release is
-ignored (never half-parsed), and saving always rewrites the current
-schema atomically (write to a sibling temp file, then rename).  When the
+ignored (never half-parsed).  Processes may share the file: saving
+merges this object's own changes into it under an advisory lock, then
+rewrites it atomically (sibling temp file, then rename).  When the
 cache directory cannot be written (read-only home, sandbox), ``save``
 degrades to in-memory operation instead of raising -- dispatch keeps
 working, it just forgets between processes.
@@ -46,7 +47,9 @@ the queried thread count.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import fcntl
 import json
 import logging
 import math
@@ -114,6 +117,31 @@ def _warn_once(key: str, message: str) -> None:
             return
         _warned_paths.add(key)
     _log.warning("%s", message)
+
+
+@contextlib.contextmanager
+def _flocked(path: Path):
+    """Hold an exclusive ``flock`` on ``path``, created on demand and
+    unlinked on release; a waiter that wins the lock on a file its
+    holder already unlinked retries on the current one."""
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                break
+        except FileNotFoundError:
+            pass
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+    try:
+        yield
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.close(fd)
 
 
 def default_cache_path() -> Path:
@@ -201,6 +229,10 @@ class PlanCache:
         self._lock = threading.RLock()
         self._entries: dict[str, dict] = {}
         self._failures: dict[str, dict] = {}
+        #: keys this object changed since its last load/save -- what
+        #: ``save`` merges into the file (set or deleted as they stand)
+        self._dirty_entries: set[str] = set()
+        self._dirty_failures: set[str] = set()
         self._loaded = False
         self.save_error: Exception | None = None
         self.load_error: Exception | None = None
@@ -231,17 +263,23 @@ class PlanCache:
 
     def _load_locked(self) -> "PlanCache":
         self._loaded = True
-        self._entries = {}
-        self._failures = {}
+        self._entries, self._failures = self._read_locked()
+        self._dirty_entries.clear()
+        self._dirty_failures.clear()
+        return self
+
+    def _read_locked(self) -> tuple[dict[str, dict], dict[str, dict]]:
+        """The file's ``(entries, failures)`` -- empty when it is
+        missing, unreadable, corrupt or of a foreign schema."""
         self.load_error = None
         try:
             text = self.path.read_text()
         except FileNotFoundError:
-            return self  # a cold cache is the normal first-run state
+            return {}, {}  # a cold cache is the normal first-run state
         except OSError as e:
             self._note_load_error(e, f"plan cache at {self.path} is "
                                       f"unreadable ({e}); running uncached")
-            return self
+            return {}, {}
         if faults.active and faults.should_fire("cache.corrupt"):
             text = '{"injected": "cache.corrupt'
         try:
@@ -257,30 +295,26 @@ class PlanCache:
             self._note_load_error(
                 e, f"plan cache at {self.path} is corrupt ({e}); "
                    f"starting fresh{kept}")
-            return self
+            return {}, {}
         schema = raw.get("schema")
         if schema != SCHEMA_VERSION and schema not in COMPAT_SCHEMAS:
-            return self  # foreign or unknown file: start fresh, don't crash
-        entries = raw.get("entries", {})
-        if isinstance(entries, dict):
-            self._entries = {
-                k: v for k, v in entries.items()
-                if _parse_key(k) is not None and isinstance(v, dict)
-            }
-        failures = raw.get("failures", {})
-        if isinstance(failures, dict):
-            self._failures = {
-                k: dict(v) for k, v in failures.items()
-                if isinstance(v, dict)
-            }
+            return {}, {}  # foreign or unknown file: start fresh, don't crash
+        entries, failures = raw.get("entries", {}), raw.get("failures", {})
+        entries = {
+            k: v for k, v in entries.items()
+            if _parse_key(k) is not None and isinstance(v, dict)
+        } if isinstance(entries, dict) else {}
+        failures = {
+            k: dict(v) for k, v in failures.items() if isinstance(v, dict)
+        } if isinstance(failures, dict) else {}
         if schema != SCHEMA_VERSION:
             # the v4 -> v5 migration path: entries survive the read (so
             # `cache show` can display them and `invalidate` can clear
             # them) but carry their origin schema, which _fresh treats
             # like a foreign fingerprint -- bypassed, never trusted
-            for ent in self._entries.values():
+            for ent in entries.values():
                 ent.setdefault("schema", schema)
-        return self
+        return entries, failures
 
     def _note_load_error(self, exc: Exception, message: str) -> None:
         self.load_error = exc
@@ -299,49 +333,65 @@ class PlanCache:
         return sidecar
 
     def save(self) -> bool:
-        """Write the cache atomically; ``False`` when it cannot persist.
+        """Merge this object's changes into the file; ``False`` when it
+        cannot persist.
 
-        A failure anywhere in the mkdir/write/rename sequence -- an
+        Several processes may share one cache file, so ``save`` never
+        overwrites what others wrote: under an advisory ``flock`` on a
+        sibling ``.lock`` file it re-reads the file, applies only the
+        entries and ledger keys this object changed since its last load
+        or save (puts, drops, failures, rehabilitations), adopts the
+        merged result in memory, and replaces the file atomically.
+
+        A failure anywhere in the mkdir/lock/write/rename sequence -- an
         unwritable location (OSError) or an unserializable entry value
         (TypeError/ValueError from ``json.dump``) -- marks the cache as
         effectively in-memory (``save_error``) instead of propagating: a
         read-only cache dir must not break dispatch.  The sibling temp
         file is removed on any failure.
         """
-        with self._lock:
-            # shallow-copy each record so concurrent in-place updates
-            # (plan_quarantined bumps "skips") cannot race json.dump
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "entries": {k: dict(v) for k, v in self._entries.items()},
-            }
-            if self._failures:
-                payload["failures"] = {
-                    k: dict(v) for k, v in self._failures.items()
-                }
         tmp = None
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self.path)
-            tmp = None
-        except (OSError, TypeError, ValueError) as e:
-            self.save_error = e
-            telemetry.incr("cache.save_errors")
-            _warn_once(f"save:{self.path}",
-                       f"plan cache at {self.path} cannot be saved ({e}); "
-                       f"tuning results stay in-memory only")
-            return False
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        with self._lock:
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with _flocked(self.path.with_name(self.path.name + ".lock")):
+                    entries, failures = self._read_locked()
+                    for mine, disk, dirty in (
+                        (self._entries, entries, self._dirty_entries),
+                        (self._failures, failures, self._dirty_failures),
+                    ):
+                        for key in dirty:
+                            if key in mine:
+                                disk[key] = mine[key]
+                            else:
+                                disk.pop(key, None)
+                    payload = {"schema": SCHEMA_VERSION, "entries": entries}
+                    if failures:
+                        payload["failures"] = failures
+                    fd, tmp = tempfile.mkstemp(
+                        dir=self.path.parent, prefix=self.path.name,
+                        suffix=".tmp")
+                    with os.fdopen(fd, "w") as fh:
+                        json.dump(payload, fh, indent=1, sort_keys=True)
+                    os.replace(tmp, self.path)
+                    tmp = None
+            except (OSError, TypeError, ValueError) as e:
+                self.save_error = e
+                telemetry.incr("cache.save_errors")
+                _warn_once(f"save:{self.path}",
+                           f"plan cache at {self.path} cannot be saved "
+                           f"({e}); tuning results stay in-memory only")
+                return False
+            finally:
+                if tmp is not None:
+                    try:
+                        os.unlink(tmp)
+                    except OSError:
+                        pass
+            self._entries, self._failures = entries, failures
+            self._dirty_entries.clear()
+            self._dirty_failures.clear()
+            self._loaded = True
         self.save_error = None
         return True
 
@@ -376,6 +426,7 @@ class PlanCache:
         with self._lock:
             self._ensure()
             key = self._ledger_key(m, k, n, dtype, threads, plan, batch)
+            self._dirty_failures.add(key)
             rec = self._failures.setdefault(
                 key, {"count": 0, "quarantined": False, "skips": 0})
             rec["count"] = int(rec.get("count", 0)) + 1
@@ -402,6 +453,7 @@ class PlanCache:
                 return
             key = self._ledger_key(m, k, n, dtype, threads, plan, batch)
             if self._failures.pop(key, None) is not None:
+                self._dirty_failures.add(key)
                 telemetry.incr("guard.rehabilitations")
 
     def plan_quarantined(self, m: int, k: int, n: int, dtype: str,
@@ -417,12 +469,13 @@ class PlanCache:
         with self._lock:
             if not self._failures:
                 return False
-            rec = self._failures.get(
-                self._ledger_key(m, k, n, dtype, threads, plan, batch))
+            key = self._ledger_key(m, k, n, dtype, threads, plan, batch)
+            rec = self._failures.get(key)
             if rec is None or not rec.get("quarantined"):
                 return False
             skips = int(rec.get("skips", 0)) + 1
             rec["skips"] = skips
+            self._dirty_failures.add(key)
             if skips % QUARANTINE_PROBE_EVERY == 0:
                 telemetry.incr("guard.quarantine_probes")
                 return False
@@ -446,6 +499,7 @@ class PlanCache:
         with self._lock:
             self._ensure()
             n = len(self._failures)
+            self._dirty_failures.update(self._failures)
             self._failures = {}
             return n
 
@@ -453,6 +507,7 @@ class PlanCache:
         """Remove one entry by raw key (doctor/repair tools)."""
         with self._lock:
             self._ensure()
+            self._dirty_entries.add(key)
             return self._entries.pop(key, None) is not None
 
     # -------------------------------------------------------------- access
@@ -510,7 +565,9 @@ class PlanCache:
         plan."""
         with self._lock:
             self._ensure()
-            self._entries[problem_key(m, k, n, dtype, threads)] = {
+            key = problem_key(m, k, n, dtype, threads)
+            self._dirty_entries.add(key)
+            self._entries[key] = {
                 "plan": plan.to_dict(),
                 "scheme": plan.scheme,
                 "subgroup": plan.subgroup,
@@ -535,7 +592,9 @@ class PlanCache:
         with self._lock:
             self._ensure()
             plan = bplan.plan
-            self._entries[batched_key(m, k, n, dtype, threads, batch)] = {
+            key = batched_key(m, k, n, dtype, threads, batch)
+            self._dirty_entries.add(key)
+            self._entries[key] = {
                 "plan": plan.to_dict(),
                 "scheme": plan.scheme,
                 "subgroup": plan.subgroup,
@@ -678,10 +737,5 @@ class PlanCache:
                       else sorted(self._entries))
             for key in doomed:
                 del self._entries[key]
+            self._dirty_entries.update(doomed)
             return doomed
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries = {}
-            self._failures = {}
-            self._loaded = True

@@ -22,6 +22,12 @@ Resolution order for a ``p x q x r`` problem (the subsystem's contract):
 Tiny problems skip all of it and go straight to the vendor BLAS: below the
 dgemm ramp-up knee no fast algorithm can win (Section 3.4).
 
+Every entry point -- ``matmul``, guarded or not, and ``matmul_batched``
+-- runs one pipeline (:func:`_serve`): select, arena, execute, numeric
+check (guarded calls), observe.  Each supplies only a call object with
+its plan resolution, arena, executor and check sample, so all of them
+emit the same spans, counters, overflow warning and per-call record.
+
 The hot path is allocation-managed: each resolved (plan, shape, dtype)
 pair owns one :class:`repro.core.workspace.Workspace` arena (a small LRU,
 one arena per plan-cache entry in live use), and worker pools persist
@@ -35,6 +41,7 @@ losing candidates never evict the serving set.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 from collections import OrderedDict
@@ -44,26 +51,25 @@ import numpy as np
 from repro.algorithms import get_algorithm
 from repro.bench.metrics import effective_gflops
 from repro.codegen import compile_algorithm
-from repro.core.workspace import Workspace, check_out
+from repro.core.workspace import (
+    Workspace,
+    bfs_footprint,
+    cbackend_footprint,
+    check_out,
+    codegen_footprint,
+    dfs_footprint,
+)
 from repro.guard import chain as _guard_chain
 from repro.guard import faults
 from repro.obs import telemetry
+from repro.obs.telemetry import NULL_SPAN
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, resolve_threads
 from repro.parallel.schedules import multiply_parallel
 from repro.tuner.cache import PlanCache
 from repro.tuner.policy import TuningPolicy, get_policy
-from repro.tuner.space import (
-    DEFAULT_MIN_LEAF,
-    Plan,
-    enumerate_plans,
-    trivial_dim,
-)
+from repro.tuner.space import Plan, enumerate_plans, trivial_dim
 from repro.util.validation import check_matmul_dims, require_2d
-
-#: float64 threshold below which problems always run plain BLAS
-#: (dtype-aware callers use :func:`repro.tuner.space.trivial_dim`)
-TRIVIAL_DIM = 2 * DEFAULT_MIN_LEAF
 
 #: arenas kept warm at once (each is sized for one plan/shape/dtype; the
 #: serving sweet spot is a few hot shapes hit over and over)
@@ -177,6 +183,33 @@ def rebuild_shared_pool(workers: int) -> WorkerPool:
     return _shared_pool(workers)
 
 
+def workspace_nbytes(plan: Plan, p: int, q: int, r: int,
+                     dtype_a, dtype_b) -> int:
+    """Arena bytes one (plan, shape, dtype) needs: the footprint formula
+    of the executor that serves the plan (0 for plain-BLAS plans)."""
+    if plan.is_dgemm:
+        return 0
+    alg = get_algorithm(plan.algorithm)
+    if plan.scheme == "sequential":
+        if plan.backend == "compiled":
+            # compiled plans run the C chain kernels, whose memory shape
+            # (fused S/T slabs, the R-row product slab, Y scratch, alias
+            # packing) cbackend_footprint mirrors -- the codegen formula
+            # below charges for a different executor and would mis-size
+            return cbackend_footprint(alg, False, (p, q, r), dtype_a,
+                                      plan.steps, dtype_b=dtype_b)
+        # sequential plans are served by the *generated* module, whose
+        # memory shape (all R products of a level live until C assembly,
+        # strategy slabs, CSE temporaries) the codegen footprint mirrors --
+        # the interpreter's one-triple-per-level DFS formula would overflow
+        return codegen_footprint(alg, plan.strategy, False, (p, q, r),
+                                 dtype_a, plan.steps, dtype_b=dtype_b)
+    if plan.scheme == "dfs":
+        return dfs_footprint([alg.base_case] * plan.steps, p, q, r, dtype_a,
+                             dtype_b, algorithms=[alg] * plan.steps)
+    return bfs_footprint(alg, plan.steps, p, q, r, dtype_a, dtype_b)
+
+
 def build_workspace(plan: Plan, p: int, q: int, r: int,
                     dtype_a, dtype_b) -> Workspace | None:
     """A fresh, *uncached* arena sized for one plan/shape/dtype (``None``
@@ -185,27 +218,7 @@ def build_workspace(plan: Plan, p: int, q: int, r: int,
     serving cache."""
     if plan.is_dgemm:
         return None
-    alg = get_algorithm(plan.algorithm)
-    if plan.scheme == "sequential":
-        if plan.backend == "compiled":
-            # compiled plans run the C chain kernels, whose memory shape
-            # (fused S/T slabs, the R-row product slab, Y scratch, alias
-            # packing) cbackend_footprint mirrors -- the codegen formula
-            # below charges for a different executor and would mis-size
-            return Workspace.for_cbackend(alg, False, (p, q, r),
-                                          dtype_a, plan.steps,
-                                          dtype_b=dtype_b)
-        # sequential plans are served by the *generated* module, whose
-        # memory shape (all R products of a level live until C assembly,
-        # strategy slabs, CSE temporaries) the codegen footprint mirrors --
-        # the interpreter's one-triple-per-level DFS formula would overflow
-        return Workspace.for_codegen(alg, plan.strategy, False, (p, q, r),
-                                     dtype_a, plan.steps, dtype_b=dtype_b)
-    if plan.scheme == "dfs":
-        return Workspace.for_recursion([alg.base_case] * plan.steps,
-                                       p, q, r, dtype_a, dtype_b,
-                                       algorithms=[alg] * plan.steps)
-    return Workspace.for_parallel(alg, plan.steps, p, q, r, dtype_a, dtype_b)
+    return Workspace(workspace_nbytes(plan, p, q, r, dtype_a, dtype_b))
 
 
 def workspace_for(plan: Plan, p: int, q: int, r: int,
@@ -374,6 +387,13 @@ def execute_plan(
     )
 
 
+@functools.cache
+def _dtype_name(dtype: np.dtype) -> str:
+    # ``np.dtype.name`` is rebuilt in Python on every access, a sizeable
+    # share of a trivial call's dispatch overhead; a process sees few dtypes
+    return dtype.name
+
+
 def get_plan(
     p: int,
     q: int,
@@ -423,8 +443,133 @@ def get_plan(
     return plans[0], "model"
 
 
-def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
-                   count: int) -> None:
+# ---------------------------------------------------------------------------
+# the dispatch pipeline: one tail for every entry point
+# ---------------------------------------------------------------------------
+class _Call:
+    """One ``matmul`` call as :func:`_serve` sees it.
+
+    A call object supplies what differs between entry points -- plan
+    resolution, arena, executor, the operands the numeric check samples,
+    the classical floor -- and :func:`_serve` runs the stages around it.
+    :class:`repro.tuner.batched._BatchCall` is the batched counterpart.
+    """
+
+    __slots__ = ("policy", "A", "B", "out", "pool", "p", "q", "r",
+                 "dtype", "threads")
+    #: batch size (``None`` for a single product): keys the quarantine
+    #: ledger and scales the record's GFLOPS
+    batch = None
+
+    def __init__(self, policy, A, B, out, pool, dtype, threads):
+        self.policy, self.A, self.B, self.out, self.pool = (
+            policy, A, B, out, pool)
+        self.p, self.q = A.shape
+        self.r = B.shape[1]
+        self.dtype, self.threads = dtype, threads
+
+    def select(self, cache: PlanCache) -> tuple[Plan, str, bool]:
+        plan, source = self.policy.select(self.p, self.q, self.r,
+                                          self.dtype, self.threads, cache)
+        return plan, source, self.policy.wants_timing(source)
+
+    def arena(self, plan: Plan, timed: bool) -> Workspace | None:
+        # timed calls get a throwaway arena, so losing shortlist
+        # candidates never pollute (or evict from) the serving cache
+        make = build_workspace if timed else workspace_for
+        return make(plan, self.p, self.q, self.r, self.A.dtype, self.B.dtype)
+
+    def evict(self, plan: Plan) -> None:
+        evict_workspace(plan, self.p, self.q, self.r, self.A.dtype,
+                        self.B.dtype)
+
+    def execute(self, plan: Plan, arena, private: bool = False):
+        """Run ``plan``; ``private`` targets a fresh product instead of
+        ``out`` (the watchdog's zombie-safe destination)."""
+        return execute_plan(plan, self.A, self.B, pool=self.pool,
+                            out=None if private else self.out,
+                            workspace=arena)
+
+    def deliver(self, C: np.ndarray) -> np.ndarray:
+        """Copy a private product into ``out`` (when one was given)."""
+        if self.out is None:
+            return C
+        np.copyto(self.out, C, casting="same_kind")
+        return self.out
+
+    def samples(self, C: np.ndarray) -> tuple:
+        """``(a, b, c)`` products the numeric check reads."""
+        return ((self.A, self.B, C),)
+
+    def classical(self) -> np.ndarray:
+        """The guard's floor: plain ``np.matmul`` -- no plan, no pool, no
+        arena, no injection points."""
+        if self.out is None:
+            return np.matmul(self.A, self.B)
+        np.matmul(self.A, self.B, out=self.out)
+        return self.out
+
+    def annotate(self, record: dict) -> None:
+        pass
+
+
+def _serve(call, cache: PlanCache,
+           cfg: _guard_chain.GuardConfig | None):
+    """The one dispatch pipeline behind ``matmul`` and ``matmul_batched``.
+
+    1. **select** the plan (``dispatch.lookup`` span);
+    2. **arena** -- the warm cached one, or a throwaway one when timed;
+    3. **execute** (``dispatch.execute`` span), under the guard's
+       watchdog when one is set;
+    4. **numeric check** on guarded calls; a guarded failure goes down
+       the guard's failure ladder (:func:`repro.guard.chain.degrade`);
+    5. **observe** -- ``policy.observe`` on timed calls, the quarantine
+       ``record_success`` on guarded ones, the warm-arena overflow
+       warning, and one telemetry record spanning the whole call.
+
+    With telemetry off it reads ``telemetry.enabled()`` once and enters
+    only the shared no-op span.
+    """
+    observed = telemetry.enabled()
+    if observed:
+        t_call = telemetry.clock_ns()
+    with telemetry.span("dispatch.lookup") if observed else NULL_SPAN:
+        plan, source, timed = call.select(cache)
+    arena = call.arena(plan, timed)
+    before = 0 if arena is None else arena.overflow_allocations
+    try:
+        if timed:
+            t0 = call.policy.clock()
+        with (telemetry.span("dispatch.execute", scheme=plan.scheme)
+              if observed else NULL_SPAN):
+            C = (call.execute(plan, arena) if cfg is None
+                 else _guard_chain.attempt(cfg, call, plan, arena))
+        if timed:
+            elapsed = call.policy.clock() - t0
+        if cfg is not None:
+            _guard_chain.verify(cfg, call, plan, C)
+    except Exception as exc:
+        if cfg is None:
+            raise
+        C, plan, source, arena = _guard_chain.degrade(cfg, call, cache,
+                                                      plan, exc, timed)
+        timed = False
+    else:
+        if timed:
+            call.policy.observe(call.p, call.q, call.r, call.dtype,
+                                call.threads, cache, plan, elapsed)
+        elif arena is not None and arena.overflow_allocations > before:
+            _warn_overflow(call, plan, arena.overflow_allocations - before)
+        if cfg is not None:
+            cache.record_success(call.p, call.q, call.r, call.dtype,
+                                 call.threads, plan, batch=call.batch)
+    if observed:
+        _record_call(call, plan, source, timed, arena,
+                     (telemetry.clock_ns() - t_call) * 1e-9)
+    return C
+
+
+def _warn_overflow(call, plan: Plan, count: int) -> None:
     """Surface a warm-path arena heap overflow (always counted, warned
     once per (plan, shape, dtype)).
 
@@ -436,33 +581,34 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
     throwaway arenas overflowing costs nothing lasting.
     """
     telemetry.incr("workspace.overflows", count)
-    key = (plan, p, q, r, dtype)
+    key = (plan, call.p, call.q, call.r, call.dtype)
     if key not in _overflow_warned:
         _overflow_warned.add(key)
         _log.warning(
             "workspace arena overflowed to the heap %d time(s) serving "
             "%dx%dx%d %s with plan [%s]; warm calls for this shape are "
             "allocating instead of reusing the arena",
-            count, p, q, r, dtype, plan.describe(),
+            count, call.p, call.q, call.r, call.dtype, plan.describe(),
         )
 
 
-def _record_call(plan: Plan, source: str, p: int, q: int, r: int,
-                 dtype: str, threads: int, seconds: float, timed: bool,
-                 workspace: Workspace | None) -> None:
+def _record_call(call, plan: Plan, source: str, timed: bool, arena,
+                 seconds: float) -> None:
     """Fold one dispatch call into the telemetry registry: source
     counters, the latest effective-GFLOPS/arena gauges, and a full
     per-call record into the introspection ring buffer."""
+    p, q, r = call.p, call.q, call.r
     telemetry.incr("dispatch.calls")
     telemetry.incr("dispatch.source", source=source)
     telemetry.incr("dispatch.backend", backend=plan.backend)
-    gflops = effective_gflops(p, q, r, seconds) if seconds > 0 else 0.0
+    gflops = (effective_gflops(p, q, r, seconds / (call.batch or 1))
+              if seconds > 0 else 0.0)
     telemetry.set_gauge("dispatch.last_gflops", gflops)
     telemetry.set_gauge("dispatch.last_seconds", seconds)
     record = {
         "shape": [p, q, r],
-        "dtype": dtype,
-        "threads": threads,
+        "dtype": call.dtype,
+        "threads": call.threads,
         "source": source,
         "plan": plan.describe(),
         "scheme": plan.scheme,
@@ -471,8 +617,8 @@ def _record_call(plan: Plan, source: str, p: int, q: int, r: int,
         "gflops": gflops,
         "timed": timed,
     }
-    if workspace is not None:
-        stats = workspace.stats()
+    if arena is not None:
+        stats = arena.stats()
         telemetry.set_gauge("workspace.arena_bytes", stats["nbytes"])
         telemetry.set_gauge("workspace.high_water", stats["high_water"])
         telemetry.set_gauge("workspace.max_mark_depth",
@@ -480,54 +626,8 @@ def _record_call(plan: Plan, source: str, p: int, q: int, r: int,
         record["arena_bytes"] = stats["nbytes"]
         record["arena_high_water"] = stats["high_water"]
         record["arena_overflows"] = stats["overflow_allocations"]
+    call.annotate(record)
     telemetry.record_dispatch(record)
-
-
-def _matmul_observed(
-    policy: TuningPolicy,
-    A: np.ndarray,
-    B: np.ndarray,
-    p: int,
-    q: int,
-    r: int,
-    dtype: str,
-    threads: int,
-    cache: PlanCache,
-    pool: WorkerPool | None,
-    out: np.ndarray | None,
-) -> np.ndarray:
-    """The telemetry-enabled twin of :func:`matmul`'s dispatch tail.
-
-    Same resolution/execution logic, with the lookup and execution under
-    ``dispatch.lookup`` / ``dispatch.execute`` spans and a per-call record
-    emitted at the end.  Kept separate so the disabled hot path pays one
-    ``telemetry.enabled()`` branch and nothing else.
-    """
-    t_call = telemetry.clock_ns()
-    with telemetry.span("dispatch.lookup"):
-        plan, source = policy.select(p, q, r, dtype, threads, cache)
-    timed = policy.wants_timing(source)
-    if timed:
-        workspace = build_workspace(plan, p, q, r, A.dtype, B.dtype)
-        with telemetry.span("dispatch.execute", scheme=plan.scheme):
-            t0 = policy.clock()
-            C = execute_plan(plan, A, B, pool=pool, out=out,
-                             workspace=workspace)
-            elapsed = policy.clock() - t0
-        policy.observe(p, q, r, dtype, threads, cache, plan, elapsed)
-    else:
-        workspace = workspace_for(plan, p, q, r, A.dtype, B.dtype)
-        before = workspace.overflow_allocations if workspace else 0
-        with telemetry.span("dispatch.execute", scheme=plan.scheme):
-            C = execute_plan(plan, A, B, pool=pool, out=out,
-                             workspace=workspace)
-        if workspace is not None and workspace.overflow_allocations > before:
-            _warn_overflow(plan, p, q, r, dtype,
-                           workspace.overflow_allocations - before)
-    seconds = (telemetry.clock_ns() - t_call) * 1e-9
-    _record_call(plan, source, p, q, r, dtype, threads, seconds, timed,
-                 workspace)
-    return C
 
 
 def matmul(
@@ -570,36 +670,7 @@ def matmul(
     check_matmul_dims(A, B)
     if out is not None:
         out = check_out(out, A, B)
-    policy = get_policy(tune)
-    p, q = A.shape
-    r = B.shape[1]
-    dtype = np.result_type(A, B).name
-    threads = resolve_threads(threads)
-    cache = cache if cache is not None else _shared_cache()
-    cfg = _guard_chain.resolve_guard(guard)
-    if cfg is not None:
-        return _guard_chain.run_guarded(cfg, policy, A, B, p, q, r, dtype,
-                                        threads, cache, pool, out)
-    if telemetry.enabled():
-        # the one telemetry branch the disabled hot path pays
-        return _matmul_observed(policy, A, B, p, q, r, dtype, threads,
-                                cache, pool, out)
-    plan, source = policy.select(p, q, r, dtype, threads, cache)
-    if policy.wants_timing(source):
-        # timed exploration: a throwaway arena, so losing shortlist
-        # candidates never pollute (or evict from) the serving cache
-        workspace = build_workspace(plan, p, q, r, A.dtype, B.dtype)
-        t0 = policy.clock()
-        C = execute_plan(plan, A, B, pool=pool, out=out, workspace=workspace)
-        policy.observe(p, q, r, dtype, threads, cache, plan,
-                       policy.clock() - t0)
-        return C
-    workspace = workspace_for(plan, p, q, r, A.dtype, B.dtype)
-    before = workspace.overflow_allocations if workspace else 0
-    C = execute_plan(plan, A, B, pool=pool, out=out, workspace=workspace)
-    if workspace is not None and workspace.overflow_allocations > before:
-        # satellite bugfix: warm-path heap overflows were counted but
-        # never surfaced -- warn (and count) with or without telemetry
-        _warn_overflow(plan, p, q, r, dtype,
-                       workspace.overflow_allocations - before)
-    return C
+    call = _Call(get_policy(tune), A, B, out, pool,
+                 _dtype_name(np.result_type(A, B)), resolve_threads(threads))
+    return _serve(call, cache if cache is not None else _shared_cache(),
+                  _guard_chain.resolve_guard(guard))

@@ -323,6 +323,22 @@ class TestAmortization:
                                    np.dtype("f8"), np.dtype("f8"),
                                    workers=2) is None
 
+    def test_compiled_element_plan_fits_its_arena_pool(self):
+        """Per-worker arenas are sized for the executor that serves the
+        element plan: the C chain driver, for a compiled plan."""
+        from repro.codegen import cbackend
+
+        if not cbackend.available():
+            pytest.skip("no C compiler")
+        plan = Plan(algorithm="strassen", steps=2, scheme="sequential",
+                    threads=1, backend="compiled")
+        A, B = batch_operands(128, 128, 128, 4, seed=12)
+        batched.execute_batch_plan(
+            BatchPlan(plan=plan, mode="elementwise", workers=2), A, B)
+        apool = batched._arena_pool(plan, 128, 128, 128, A.dtype, B.dtype,
+                                    workers=2)
+        assert apool.overflow_allocations == 0
+
 
 # =========================================================================
 # resolution sources: forced / model / tuned / cache

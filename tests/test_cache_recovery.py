@@ -237,3 +237,69 @@ def test_cache_show_includes_failure_ledger(tmp_path):
     rc, out = run_cli("cache", "show", "--cache", str(path))
     assert rc == 0
     assert "failure ledger" in out and "QUARANTINED" in out
+
+
+# ------------------------------------------------------- merge on save
+def _ledger_key(n, plan):
+    return PlanCache._ledger_key(n, n, n, "float64", 1, plan)
+
+
+def test_two_writers_merge_instead_of_clobbering(tmp_path):
+    """Two cache objects on one file: each save merges its own puts,
+    failures and rehabilitations into what the other already wrote."""
+    path = tmp_path / "plans.json"
+    plan = Plan(algorithm="strassen", steps=1, threads=1)
+    a, b = PlanCache(path), PlanCache(path)
+    a.put(512, 512, 512, "float64", 1, Plan(threads=1), seconds=0.1)
+    b.put(1024, 1024, 1024, "float64", 1, plan, seconds=0.5)
+    for _ in range(2):
+        a.record_failure(256, 256, 256, "float64", 1, plan, "boom")
+    assert a.save()
+    b.record_failure(384, 384, 384, "float64", 1, plan, "boom")
+    assert b.save()  # merges a's 512 entry and 256 ledger key
+    a.record_success(256, 256, 256, "float64", 1, plan)
+    assert a.save()  # the rehabilitation deletes the 256 key on disk
+    assert a.get(1024, 1024, 1024, "float64", 1) == plan  # adopted b's
+    b.put(2048, 2048, 2048, "float64", 1, plan, seconds=2.0)
+    assert b.save()  # b still holds the 256 key, but never changed it
+
+    merged = PlanCache(path)
+    assert merged.keys() == sorted(
+        f"{n}x{n}x{n}:float64:1t" for n in (512, 1024, 2048))
+    assert list(merged.failure_ledger()) == [_ledger_key(384, plan)]
+    assert not (tmp_path / "plans.json.lock").exists()
+
+
+def test_concurrent_savers_lose_nothing(tmp_path):
+    """More savers than cores, each with its own cache object on one
+    file: with merge-on-save every put survives."""
+    import sys
+    import threading
+
+    path = tmp_path / "plans.json"
+    errors = []
+
+    def writer(base):
+        try:
+            cache = PlanCache(path)
+            for i in range(6):
+                n = base + 8 * i
+                cache.put(n, n, n, "float64", 1, Plan(threads=1))
+                assert cache.save()
+        except Exception as e:  # surfaced below; a thread cannot fail the test
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(200 + base,))
+                   for base in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(PlanCache(path)) == 24

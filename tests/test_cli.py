@@ -73,7 +73,7 @@ class TestMultiply:
         if not cbackend.available():
             pytest.skip("no C compiler")
         rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
-                           "--native", "--trials", "1")
+                           "--backend", "compiled", "--trials", "1")
         assert rc == 0
         assert "native chains" in text
 

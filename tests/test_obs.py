@@ -3,15 +3,17 @@
 import json
 import logging
 import threading
+import time
 
 import numpy as np
 import pytest
 from conftest import MULTICORE_THREADS
 
 from repro import obs
-from repro.core.workspace import Workspace
+from repro.core.workspace import Workspace, WorkspacePool
+from repro.guard import faults
 from repro.obs import telemetry
-from repro.tuner import PlanCache, dispatch, matmul
+from repro.tuner import PlanCache, batched, dispatch, matmul, matmul_batched
 from repro.tuner.measure import Measurement, ShapeReport
 from repro.tuner.policy import OnlineTunePolicy, UCBTunePolicy
 from repro.tuner.space import Plan
@@ -264,6 +266,103 @@ class TestOverflowSurfacing:
         assert first > 0
         matmul(A, A, threads=1, cache=cache)
         assert obs.counter_value("workspace.overflows") > first
+
+
+#: the four ways into the dispatch pipeline, all at threads=2
+ENTRY_POINTS = ["matmul", "guard", "batched-within", "batched-elementwise"]
+
+#: keys every per-call record carries (batched records add two more)
+RECORD_KEYS = {"shape", "dtype", "threads", "source", "plan", "scheme",
+               "backend", "seconds", "gflops", "timed", "arena_bytes",
+               "arena_high_water", "arena_overflows"}
+
+
+class TestEntryPointParity:
+    """Every entry point runs the one dispatch pipeline, so each reports
+    the same spans, counters, overflow warning and per-call record."""
+
+    N, THREADS, BATCH = 192, 2, 3
+
+    @pytest.fixture()
+    def cache(self, tmp_path):
+        n = self.N
+        return _plan_cache(
+            tmp_path,
+            (n, n, n, "float64", self.THREADS,
+             Plan(algorithm="strassen", steps=1, scheme="dfs",
+                  threads=self.THREADS)),
+            # the elementwise head resolves its element plan at 1 thread
+            (n, n, n, "float64", 1,
+             Plan(algorithm="strassen", steps=1, scheme="sequential",
+                  threads=1)),
+        )
+
+    def _call(self, entry, A, cache, guard=False):
+        if entry in ("matmul", "guard"):
+            return matmul(A, A, threads=self.THREADS, cache=cache,
+                          guard=guard or entry == "guard")
+        A3 = np.stack([A] * self.BATCH)
+        return matmul_batched(A3, A3, threads=self.THREADS, cache=cache,
+                              batch_mode=entry.split("-")[1], guard=guard)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_undersized_arena_reports_alike(self, entry, cache, monkeypatch,
+                                            caplog):
+        tiny = Workspace(64)  # every take overflows to the heap
+        monkeypatch.setattr(dispatch, "workspace_for", lambda *a, **k: tiny)
+        monkeypatch.setattr(batched, "_arena_pool",
+                            lambda *a, **k: WorkspacePool(64, a[-1]))
+        dispatch.reset_workspaces()  # clears the warned-once set too
+        A = random_matrix(self.N, self.N, 6)
+        obs.enable()
+        walls = []
+        with caplog.at_level(logging.WARNING, logger=dispatch.__name__):
+            for _ in range(2):
+                t0 = time.perf_counter()
+                C = self._call(entry, A, cache)
+                walls.append(time.perf_counter() - t0)
+                assert np.allclose(C, A @ A)
+        hits = [r for r in caplog.records if "overflowed" in r.message]
+        assert len(hits) == 1  # once per (plan, shape, dtype), not per call
+        assert "192x192x192" in hits[0].message
+        assert obs.counter_value("workspace.overflows") > 0
+        assert obs.counter_value("dispatch.calls") == 2
+
+        scheme = "sequential" if entry.endswith("elementwise") else "dfs"
+        lookup = obs.span_stats("dispatch.lookup")
+        execute = obs.span_stats("dispatch.execute", scheme=scheme)
+        assert lookup["count"] == 2 and execute["count"] == 2
+
+        records = obs.dispatch_records()
+        assert len(records) == 2
+        keys = RECORD_KEYS | ({"batch", "batch_mode"}
+                              if entry.startswith("batched") else set())
+        for rec, wall in zip(records, walls):
+            assert set(rec) == keys
+            assert rec["arena_overflows"] > 0
+            assert 0 < rec["seconds"] <= wall
+        # the record spans the whole call: lookup and execute both inside
+        assert (sum(rec["seconds"] for rec in records)
+                >= lookup["total_s"] + execute["total_s"])
+
+    @pytest.mark.parametrize("entry,spec,stage", [
+        ("guard", "plan.raise:1", "model"),
+        ("guard", "plan.raise", "classical"),
+        ("batched-within", "plan.raise", "classical"),
+    ])
+    def test_guard_fallback_records_its_time(self, entry, spec, stage,
+                                             cache):
+        A = random_matrix(self.N, self.N, 7)
+        obs.enable()
+        with faults.inject(spec):
+            C = self._call(entry, A, cache, guard=True)
+        assert np.allclose(C, np.stack([A @ A] * C.shape[0]) if C.ndim == 3
+                           else A @ A)
+        assert obs.counter_value("guard.fallbacks", stage=stage) == 1
+        assert obs.counter_value("dispatch.calls") == 1
+        rec = obs.dispatch_records()[-1]
+        assert rec["source"] == "guard"
+        assert rec["seconds"] > 0 and rec["gflops"] > 0
 
 
 class TestWorkspaceStats:

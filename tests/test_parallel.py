@@ -5,7 +5,7 @@ import pytest
 
 from repro.parallel import blas
 from repro.parallel.add import measure_stream, stream_triad
-from repro.parallel.gemm import dgemm, tiled_gemm
+from repro.parallel.gemm import dgemm
 from repro.parallel.pool import (
     WorkerPool,
     _row_slabs,
@@ -201,41 +201,6 @@ class TestGemm:
         B = random_matrix(48, 56, 1)
         for t in (1, 2):
             np.testing.assert_allclose(dgemm(A, B, threads=t), A @ B, atol=1e-10)
-
-    def test_tiled_gemm_matches(self):
-        A = random_matrix(129, 65, 2)
-        B = random_matrix(65, 77, 3)
-        with WorkerPool(2) as pool:
-            C = tiled_gemm(A, B, pool, threads=2)
-        np.testing.assert_allclose(C, A @ B, atol=1e-10)
-
-    def test_tiled_gemm_out_buffer(self):
-        A = random_matrix(32, 32, 4)
-        B = random_matrix(32, 32, 5)
-        out = np.empty((32, 32))
-        with WorkerPool(2) as pool:
-            C = tiled_gemm(A, B, pool, threads=2, out=out)
-        assert C is out
-        np.testing.assert_allclose(out, A @ B, atol=1e-10)
-
-    def test_tiled_gemm_single_thread_path(self):
-        A = random_matrix(8, 8, 6)
-        B = random_matrix(8, 8, 7)
-        with WorkerPool(1) as pool:
-            np.testing.assert_allclose(
-                tiled_gemm(A, B, pool, threads=1), A @ B, atol=1e-10
-            )
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_tiled_gemm_float32(self, threads):
-        """Regression: C used to be allocated as bare float64 ``np.empty``,
-        which broke/upcast ``np.dot(..., out=C)`` for float32 operands."""
-        A = random_matrix(65, 33, 8, dtype=np.float32)
-        B = random_matrix(33, 41, 9, dtype=np.float32)
-        with WorkerPool(2) as pool:
-            C = tiled_gemm(A, B, pool, threads=threads)
-        assert C.dtype == np.float32
-        np.testing.assert_allclose(C, A @ B, atol=1e-4)
 
     def test_dgemm_out(self):
         A = random_matrix(48, 32, 10)
